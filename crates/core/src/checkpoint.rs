@@ -40,7 +40,11 @@ pub const MAGIC: u64 = u64::from_le_bytes(*b"NDPCKPT\0");
 /// Payload schema version. Bump whenever any component's `snap` layout
 /// changes; old files are then rejected with a `schema` check failure
 /// instead of being misdecoded.
-pub const SCHEMA_VERSION: u32 = 1;
+///
+/// v2: the clock section lost the intra-run threading flag that followed
+/// the skip flag (threaded stack/NSU ticking was removed), so v1 images
+/// are one byte longer there and would misdecode.
+pub const SCHEMA_VERSION: u32 = 2;
 
 /// File extension used for per-workload checkpoints when
 /// `NDP_CHECKPOINT_PATH` / `NDP_RESUME` name a directory.

@@ -6,11 +6,13 @@
 #                      so an interrupted sweep continues from its last saved
 #                      boundary instead of restarting. Results are
 #                      byte-identical to an uninterrupted sweep (DESIGN.md §13).
-cd /root/repo
+set -euo pipefail
+cd "$(dirname "$0")"
+RESUME_DIR=
 while [ $# -gt 0 ]; do
     case "$1" in
         --resume-dir)
-            [ -n "$2" ] || { echo "usage: $0 [--resume-dir DIR]" >&2; exit 2; }
+            [ -n "${2:-}" ] || { echo "usage: $0 [--resume-dir DIR]" >&2; exit 2; }
             RESUME_DIR=$2
             shift 2
             ;;
@@ -28,6 +30,9 @@ if [ -n "$RESUME_DIR" ]; then
     export NDP_RESUME="$RESUME_DIR"
 fi
 export NDP_WARPS=1024 NDP_ITERS=8 NDP_EPOCH=2000
+# A plain root build covers only the root package; the harness binaries
+# live in ndp-bench, so build the whole workspace or stale ones would run.
+cargo build --release --workspace
 R=results
 # One entry per harness binary: make_report globs results/*.txt, so adding
 # a binary here is the only step needed to get it into REPORT.md.
@@ -39,10 +44,8 @@ done
 # Simulator self-profile: per-stage host-time/idle attribution for the
 # recorded scale (NDP_PERF_* env tunes stride and heartbeat cadence).
 NDP_PERF=1 ./target/release/obs_report > $R/perf_report.txt 2>&1
-# Core throughput baseline for regression gating (BENCH_core.json).
-./target/release/bench_baseline --out $R/BENCH_core.json > $R/bench_baseline.txt 2>&1
-# Per-stage shared-state footprint report: which controller fields keep
-# tick:sms sequential, and which stages are parallel-safe (DESIGN.md §16).
-./target/release/ndp_lint --quiet --footprint-report $R/parallel_footprint.txt
+# Core throughput baseline at the repo root, where CI's
+# `bench_baseline --check BENCH_core.json` gate reads it.
+./target/release/bench_baseline --out BENCH_core.json > $R/bench_baseline.txt 2>&1
 ./target/release/make_report
 echo ALL_DONE
