@@ -25,23 +25,26 @@ use ndp_common::config::SystemConfig;
 fn usage() -> ! {
     eprintln!(
         "usage: ndp_lint [--quiet] [--drop-edge NAME] [--drop-watch STAGE EDGE] \
-         [--drop-wake STAGE SOURCE]"
+         [--drop-wake STAGE SOURCE] [--drop-park STRUCTURE]"
     );
     eprintln!("  static model checks; exits 1 if any finding is printed");
     eprintln!("  --drop-* flags mutate the lifted graph before checking (mutation");
-    eprintln!("  testing: a dropped edge/watch/wake-source must produce a finding)");
+    eprintln!("  testing: a dropped edge/watch/wake-source/park waker must produce");
+    eprintln!("  a finding)");
     std::process::exit(2);
 }
 
 /// A graph mutation requested on the command line, applied to every
 /// preset's lifted graph before checking. Used to demonstrate (in CI or by
 /// hand) that the soundness passes actually catch a dropped pipeline edge,
-/// an unwatched in-edge, or an unobserved internal wake source.
+/// an unwatched in-edge, an unobserved internal wake source, or a parked
+/// structure with no waker.
 #[allow(clippy::enum_variant_names)] // "Drop" is the operation, not noise
 enum Mutation {
     DropEdge(String),
     DropWatch(String, String),
     DropWake(String, String),
+    DropPark(String),
 }
 
 fn main() {
@@ -55,6 +58,7 @@ fn main() {
             "--drop-edge" => mutations.push(Mutation::DropEdge(take())),
             "--drop-watch" => mutations.push(Mutation::DropWatch(take(), take())),
             "--drop-wake" => mutations.push(Mutation::DropWake(take(), take())),
+            "--drop-park" => mutations.push(Mutation::DropPark(take())),
             _ => usage(),
         }
     }
@@ -99,6 +103,7 @@ fn main() {
                 Mutation::DropEdge(e) => g.remove_edge(e),
                 Mutation::DropWatch(s, e) => g.remove_watch(s, e),
                 Mutation::DropWake(s, w) => g.remove_wake(s, w),
+                Mutation::DropPark(p) => g.remove_park_waker(p),
             };
             if !applied {
                 emit(format!("fabric [{name}]: mutation target not found"));

@@ -18,6 +18,10 @@
 //! - **wait-for acyclicity** — the subgraph of bounded, non-credit-protected
 //!   edges is cycle-free, the structural precondition for
 //!   backpressure-induced deadlock;
+//! - **quiescence** — every skippable tick stage watches every in-edge and
+//!   internal wake source of its component, and every parked structure
+//!   (work the quiescence horizon deliberately ignores) names a waker stage
+//!   that is in the pipeline.
 //!
 //! [`PacketKind`]: crate::packet::PacketKind
 
@@ -126,6 +130,23 @@ pub struct WakeSourceSpec {
     pub name: &'static str,
 }
 
+/// One structure in which a component parks work *outside* its quiescence
+/// horizon (its `PARK_SITES` const), with the pipeline stage whose event
+/// releases it. Parking is sound only if that stage exists: the horizon
+/// deliberately ignores the structure, so nothing else will ever look at
+/// it again.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ParkSpec {
+    /// The [`GraphNode`] whose component owns the structure.
+    pub node: &'static str,
+    /// Structure name, conventionally `component:structure`
+    /// (e.g. `sm:mshr_parked`).
+    pub name: &'static str,
+    /// The edge or protocol site whose event wakes it (e.g.
+    /// `slice_to_sm`, `side:credits`); `None` means no waker is declared.
+    pub waker: Option<&'static str>,
+}
+
 /// The machine's communication structure as a static graph.
 #[derive(Debug, Clone, Default)]
 pub struct FabricGraph {
@@ -143,6 +164,9 @@ pub struct FabricGraph {
     /// Registry of internal wake sources, lifted from the components'
     /// `WAKE_SOURCES` consts (see [`WakeSourceSpec`]).
     pub wake_sources: Vec<WakeSourceSpec>,
+    /// Parked structures and their wakers, lifted from the components'
+    /// `PARK_SITES` consts (see [`ParkSpec`]).
+    pub parks: Vec<ParkSpec>,
 }
 
 /// One finding of [`FabricGraph::check`], naming the check family and the
@@ -206,6 +230,19 @@ impl FabricGraph {
         spec.wakes.len() != before
     }
 
+    /// Remove the waker of the named parked structure; `true` if it had
+    /// one. Mutation-test hook (and the way `ndp-lint --drop-park`
+    /// simulates a parked structure nothing releases): the resulting graph
+    /// must fail [`FabricGraph::check`] with a `quiescence` diagnostic
+    /// naming the structure.
+    pub fn remove_park_waker(&mut self, name: &str) -> bool {
+        self.parks
+            .iter_mut()
+            .find(|p| p.name == name)
+            .and_then(|p| p.waker.take())
+            .is_some()
+    }
+
     /// Run every static check; an empty result means the graph is
     /// well-formed.
     pub fn check(&self) -> Vec<GraphDiag> {
@@ -228,8 +265,26 @@ impl FabricGraph {
     /// skippable tick stage must reference a real node, watch only real
     /// edges, and watch *every* in-edge of its node — an unwatched arrival
     /// path means the skip logic could sleep through a delivery and stall
-    /// a live machine.
+    /// a live machine. Every parked structure must name a waker stage
+    /// that is in the pipeline, for the same reason.
     fn check_quiescence(&self, diags: &mut Vec<GraphDiag>) {
+        for p in &self.parks {
+            let problem = match p.waker {
+                None => "has no waker".to_string(),
+                Some(w) if !self.sites.contains(&w) && self.edges.iter().all(|e| e.name != w) => {
+                    format!("is woken by {w:?}, which is not in the pipeline")
+                }
+                Some(_) => continue,
+            };
+            diags.push(GraphDiag {
+                check: "quiescence",
+                detail: format!(
+                    "parked structure {:?} of {:?} {problem} — work parked there \
+                     is never released",
+                    p.name, p.node
+                ),
+            });
+        }
         for spec in &self.skip_specs {
             if self.node(spec.node).is_none() {
                 diags.push(GraphDiag {
@@ -505,6 +560,11 @@ mod tests {
             sites: vec!["reserve", "credits"],
             skip_specs: vec![],
             wake_sources: vec![],
+            parks: vec![ParkSpec {
+                node: "a",
+                name: "a:parked",
+                waker: Some("credits"),
+            }],
         }
     }
 
@@ -653,6 +713,29 @@ mod tests {
             diags
                 .iter()
                 .any(|d| d.check == "quiescence" && d.detail.contains("no_such_edge")),
+            "{diags:?}"
+        );
+    }
+
+    #[test]
+    fn parked_structure_needs_a_waker_in_the_pipeline() {
+        let mut g = tiny();
+        assert!(g.remove_park_waker("a:parked"));
+        assert!(!g.remove_park_waker("a:parked"), "second removal no-op");
+        let diags = g.check();
+        assert!(
+            diags.iter().any(|d| d.check == "quiescence"
+                && d.detail.contains("a:parked")
+                && d.detail.contains("no waker")),
+            "{diags:?}"
+        );
+        let mut g = tiny();
+        assert!(g.remove_site("credits"));
+        let diags = g.check();
+        assert!(
+            diags.iter().any(|d| d.check == "quiescence"
+                && d.detail.contains("a:parked")
+                && d.detail.contains("not in the pipeline")),
             "{diags:?}"
         );
     }

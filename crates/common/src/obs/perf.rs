@@ -381,6 +381,7 @@ impl Perf {
             stages,
             heartbeats: self.heartbeats.iter().copied().collect(),
             sm_ready_occupancy: Vec::new(),
+            sm_ticks: 0,
         }
     }
 }
@@ -434,6 +435,12 @@ pub struct PerfReport {
     /// has no SMs or profiling predates v3.
     #[serde(default)]
     pub sm_ready_occupancy: Vec<f64>,
+    /// Invoked `Sm::tick` calls summed over all SMs: a deterministic work
+    /// counter (host noise cannot move it) for the SM layer's event-driven
+    /// scheduling. Filled by the simulator core like `sm_ready_occupancy`;
+    /// 0 in reports that predate it.
+    #[serde(default)]
+    pub sm_ticks: u64,
 }
 
 impl PerfReport {
@@ -486,7 +493,8 @@ impl PerfReport {
                 .fold(f64::NEG_INFINITY, f64::max);
             out.push_str(&format!(
                 "sm ready-set occupancy: mean {mean:.2} warps over {n} SMs (max {max:.2}) \
-                 per invoked issue cycle\n"
+                 per invoked issue cycle ({} invoked SM ticks)\n",
+                self.sm_ticks
             ));
         }
         if let Some(hb) = self.heartbeats.last() {

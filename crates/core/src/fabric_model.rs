@@ -17,7 +17,8 @@
 //! they must not be computed from the routing code itself.
 
 use ndp_common::analysis::{
-    kind_bit, CreditPoolSpec, FabricGraph, GraphEdge, GraphNode, KindMask, SkipSpec, WakeSourceSpec,
+    kind_bit, CreditPoolSpec, FabricGraph, GraphEdge, GraphNode, KindMask, ParkSpec, SkipSpec,
+    WakeSourceSpec,
 };
 use ndp_common::config::SystemConfig;
 use ndp_common::port::{Op, Stage};
@@ -258,6 +259,14 @@ fn lift(cfg: &SystemConfig, stages: &[Stage<System>]) -> FabricGraph {
     let mut g = FabricGraph {
         nodes: nodes(),
         wake_sources: wake_sources(),
+        parks: ndp_gpu::Sm::PARK_SITES
+            .iter()
+            .map(|&(name, waker)| ParkSpec {
+                node: "sm",
+                name,
+                waker: Some(waker),
+            })
+            .collect(),
         ..Default::default()
     };
     // The acquire side of the reservation protocol is SM issue logic, not
@@ -410,6 +419,19 @@ mod tests {
     }
 
     #[test]
+    fn dropping_a_park_waker_is_caught_by_name() {
+        let mut g = fabric_graph(&SystemConfig::ndp_dynamic());
+        assert!(g.remove_park_waker("sm:mshr_parked"));
+        let diags = g.check();
+        assert!(
+            diags.iter().any(|d| d.check == "quiescence"
+                && d.detail.contains("sm:mshr_parked")
+                && d.detail.contains("no waker")),
+            "{diags:?}"
+        );
+    }
+
+    #[test]
     fn stack_wake_sources_are_registered_and_declared() {
         let g = fabric_graph(&SystemConfig::ndp_dynamic());
         let spec = g
@@ -451,6 +473,13 @@ mod tests {
             diags
                 .iter()
                 .any(|d| d.check == "credit" && d.detail.contains("side:credits")),
+            "{diags:?}"
+        );
+        // The reservation-blocked warps lose their only waker too.
+        assert!(
+            diags.iter().any(|d| d.check == "quiescence"
+                && d.detail.contains("sm:retry_blocked")
+                && d.detail.contains("not in the pipeline")),
             "{diags:?}"
         );
     }

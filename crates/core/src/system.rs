@@ -4,6 +4,7 @@ use std::fs;
 use std::path::Path;
 use std::sync::Arc;
 
+use ndp_common::bitset::BitSet;
 use ndp_common::config::{OffloadPolicy, SystemConfig};
 use ndp_common::error::{PacketSummary, SimError};
 use ndp_common::fault::{FaultAction, FaultConfig, FaultInjector, FaultStats, InjectedFault};
@@ -53,6 +54,14 @@ pub struct System {
     pub cfg: SystemConfig,
     pub kernel: Arc<CompiledKernel>,
     sms: Vec<Sm>,
+    /// SM calendar: `sm_next[i]` is SM `i`'s quiescence horizon
+    /// (`Cycle::MAX` = none), refreshed after each of its ticks,
+    /// deliveries and credit wake-ups. `tick:sms` ticks only the SMs that
+    /// are due, and the stage horizon is the minimum entry.
+    sm_next: Vec<Cycle>,
+    /// Per stack: the SMs holding a warp whose reservation there was
+    /// denied, i.e. the SMs a credit return to that stack must wake.
+    blocked_sms: Vec<BitSet>,
     slices: Vec<L2Slice>,
     /// GPU→HMC links (up) and HMC→GPU links (down), one pair per stack.
     up: Vec<Link>,
@@ -190,10 +199,16 @@ impl System {
             .collect();
         let ctrl = OffloadController::new(&cfg, blocks);
         let nsu_div = cfg.nsu_divider();
+        let sm_next = sms.iter().map(|sm| horizon(sm, 0)).collect();
+        let blocked_sms = (0..cfg.hmc.num_hmcs)
+            .map(|_| BitSet::new(sms.len()))
+            .collect();
         Ok(System {
             cfg,
             kernel,
             sms,
+            sm_next,
+            blocked_sms,
             slices,
             up,
             down,
@@ -339,6 +354,16 @@ impl System {
         self.now
     }
 
+    /// Warps parked across all SMs: (on L1 MSHRs, on a denied
+    /// reservation). Lets tests pick snapshot points with parked warps.
+    #[doc(hidden)]
+    pub fn parked_warps(&self) -> (usize, usize) {
+        self.sms.iter().fold((0, 0), |(m, b), sm| {
+            let (pm, pb) = sm.parked_warps();
+            (m + pm, b + pb)
+        })
+    }
+
     /// Everything drained?
     pub fn is_done(&self) -> bool {
         self.sms.iter().all(|s| s.is_done())
@@ -480,16 +505,12 @@ impl System {
     }
 
     /// Replay `k` skipped invocations of stage `idx` into the components
-    /// whose per-cycle tick has observable idle effects (SM stall stats,
-    /// stack clock-domain crossing, NSU tick counters). Every other
-    /// stage's idle tick is a pure no-op.
+    /// whose per-cycle tick has observable idle effects (stack clock-domain
+    /// crossing, NSU tick counters). SMs book their untouched cycles
+    /// themselves (`Sm::settle`); every other stage's idle tick is a pure
+    /// no-op.
     fn note_stage_skipped(&mut self, idx: usize, k: u64) {
         match &PIPELINE[idx].op {
-            Op::Tick(Comp::Sms) => {
-                for sm in &mut self.sms {
-                    sm.note_skipped(k);
-                }
-            }
             Op::Tick(Comp::Stacks) => {
                 for st in &mut self.stacks {
                     Component::note_skipped(st, k);
@@ -546,7 +567,10 @@ impl System {
         Ok(self.collect(out))
     }
 
-    fn collect(self, out: Outcome) -> RunResult {
+    fn collect(mut self, out: Outcome) -> RunResult {
+        for sm in &mut self.sms {
+            sm.settle(self.now);
+        }
         let mut r = RunResult {
             workload: self.kernel.program.name.to_string(),
             config: format!("{:?}", self.cfg.offload),
@@ -611,6 +635,7 @@ impl System {
         if self.perf.is_on() {
             let mut perf = self.perf.report(self.now);
             perf.sm_ready_occupancy = self.sms.iter().map(|sm| sm.ready_occupancy()).collect();
+            perf.sm_ticks = self.sms.iter().map(|sm| sm.ticks()).sum();
             r.perf = Some(perf);
         }
         r
@@ -748,7 +773,7 @@ impl System {
         w.tag(SEC_SMS);
         w.len(self.sms.len());
         for sm in &self.sms {
-            sm.snap(&mut w);
+            sm.snap(&mut w, self.now);
         }
         w.tag(SEC_SLICES);
         w.len(self.slices.len());
@@ -845,7 +870,7 @@ impl System {
         r.tag(SEC_SMS, "sms")?;
         expect("SMs", self.sms.len(), r.len()?)?;
         for sm in &mut self.sms {
-            sm.restore(r)?;
+            sm.restore(r, self.now)?;
         }
         r.tag(SEC_SLICES, "slices")?;
         expect("L2 slices", self.slices.len(), r.len()?)?;
@@ -893,6 +918,13 @@ impl System {
         };
         r.tag(SEC_OBS, "obs")?;
         self.obs = Obs::restore(r)?;
+        // A restored SM has nothing parked (see `Sm::restore`).
+        for (next, sm) in self.sm_next.iter_mut().zip(&self.sms) {
+            *next = horizon(sm, self.now);
+        }
+        for b in &mut self.blocked_sms {
+            b.clear();
+        }
         Ok(())
     }
 
@@ -1157,15 +1189,6 @@ macro_rules! component_member {
 }
 component_member!(L2Slice, Link, HmcStack);
 
-impl Member for Sm {
-    fn work_at(&self, now: Cycle) -> Option<Cycle> {
-        self.next_work_at(now)
-    }
-    fn skipped(&mut self) {
-        self.note_skipped(1);
-    }
-}
-
 impl Member for Nsu {
     // `Comp::Nsus` only runs on open NSU-clock cycles, so the probe is in
     // the NSU's own domain: delta 0 = work on this open cycle.
@@ -1177,6 +1200,12 @@ impl Member for Nsu {
     fn skipped(&mut self) {
         Nsu::note_skipped(self, 1);
     }
+}
+
+/// An SM's calendar entry: its horizon from `from` on, `Cycle::MAX` if it
+/// has none.
+fn horizon(sm: &Sm, from: Cycle) -> Cycle {
+    sm.next_work_at(from).unwrap_or(Cycle::MAX)
 }
 
 /// Per-member skip: a stage runs whenever *any* member has work, but
@@ -1334,7 +1363,10 @@ impl FabricCtx for System {
                 }
                 self.slices[h].from_mem(p)
             }
-            Rx::Sm(s) => self.sms[s].deliver(now, p, &mut self.ctrl)?,
+            Rx::Sm(s) => {
+                self.sms[s].deliver(now, p, &mut self.ctrl)?;
+                self.sm_next[s] = horizon(&self.sms[s], now + 1);
+            }
         }
         Ok(())
     }
@@ -1342,7 +1374,20 @@ impl FabricCtx for System {
     fn tick_comp(&mut self, now: Cycle, comp: Comp) {
         let skip = self.skip;
         match comp {
-            Comp::Sms => tick_members(&mut self.sms, now, skip, |sm| sm.tick(now, &mut self.ctrl)),
+            Comp::Sms => {
+                for (i, sm) in self.sms.iter_mut().enumerate() {
+                    if skip && self.sm_next[i] > now {
+                        continue;
+                    }
+                    sm.tick(now, &mut self.ctrl);
+                    self.sm_next[i] = horizon(sm, now + 1);
+                    let mut stacks = sm.take_newly_blocked();
+                    while stacks != 0 {
+                        self.blocked_sms[stacks.trailing_zeros() as usize].insert(i);
+                        stacks &= stacks - 1;
+                    }
+                }
+            }
             Comp::Slices => tick_members(&mut self.slices, now, skip, |s| {
                 s.tick(now);
                 for (block, hit) in s.block_events.drain(..) {
@@ -1396,6 +1441,14 @@ impl FabricCtx for System {
                                  credits than the GPU-side pools had outstanding"
                             ),
                         );
+                    }
+                    if c.cmd + c.read + c.write > 0 {
+                        // Wake the warps denied a reservation here.
+                        for i in self.blocked_sms[h].iter() {
+                            self.sms[i].on_credit_return(HmcId(h as u8));
+                            self.sm_next[i] = horizon(&self.sms[i], now + 1);
+                        }
+                        self.blocked_sms[h].clear();
                     }
                 }
             }
@@ -1467,7 +1520,10 @@ impl FabricCtx for System {
         };
         match &PIPELINE[idx].op {
             Op::Tick(c) => match c {
-                Comp::Sms => min_over(self.sms.iter().map(|s| s.next_work_at(now))),
+                Comp::Sms => {
+                    let next = self.sm_next.iter().copied().min().unwrap_or(Cycle::MAX);
+                    (next != Cycle::MAX).then(|| next.max(now))
+                }
                 Comp::Slices => {
                     min_over(self.slices.iter().map(|s| Component::next_work_at(s, now)))
                 }

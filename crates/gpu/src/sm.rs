@@ -39,7 +39,11 @@ pub trait NdpEnv {
     /// Should this offload-block instance be offloaded? Called once per
     /// instance at `OFLD.BEG`.
     fn decide_offload(&mut self, sm: u16, block: u16) -> bool;
-    /// Reserve NSU buffers for a block (§4.3). All-or-nothing.
+    /// Reserve NSU buffers for a block (§4.3). All-or-nothing, and a
+    /// denial has no side effects: the answer for `hmc` cannot change from
+    /// `false` to `true` until credits return to `hmc`. The SM relies on
+    /// this to park a denied warp until [`Sm::on_credit_return`] instead
+    /// of re-asking every cycle (DESIGN.md §15).
     fn try_reserve(&mut self, hmc: HmcId, n_loads: usize, n_stores: usize) -> bool;
     /// Cache-behaviour sample for one load instruction of a block: lines
     /// touched and how many hit in the L1 (L2 hits are reported by the
@@ -185,6 +189,8 @@ pub struct Sm {
     cta_alive: HashMap<u32, u32>,
     rr_cursor: usize,
     seed: u64,
+    /// Issue statistics, booked up to `accounted`: `issued` is always
+    /// current, the no-issue classes only after [`Sm::settle`].
     pub stats: IssueStats,
     /// Dynamic warp instructions issued inside offload blocks (either mode).
     pub block_instrs: u64,
@@ -193,10 +199,11 @@ pub struct Sm {
 
     // ---- Incremental scheduler state (DESIGN.md §15) ----
     //
-    // Everything below is derived from `slots` and maintained at the state-
-    // transition sites, never rediscovered by per-cycle scans. None of it is
-    // serialized: `restore` rebuilds it with `rebuild_sched`, keeping the
-    // snapshot format byte-identical to the scan-based scheduler's.
+    // Everything below is scheduler bookkeeping maintained at the state-
+    // transition sites, never rediscovered by per-cycle scans. None of it
+    // is serialized: `restore` rebuilds it with `rebuild_sched` (and sets
+    // `accounted` to the restore cycle), keeping the snapshot format
+    // byte-identical to the scan-based scheduler's.
     //
     /// Issue candidates: occupied slots in `Ready` state whose `wake_at` has
     /// passed (the wake-wheel moves slots here as their cycle arrives).
@@ -213,9 +220,37 @@ pub struct Sm {
     /// Cycle of the most recent `service_wheel` call; every wheel key is
     /// strictly greater except transiently after a checkpoint restore.
     wheel_serviced_at: Cycle,
-    /// Slots whose offload target is known but whose NSU-buffer reservation
-    /// is still denied (`retry_reservations` candidates).
+    /// Slots whose offload target is known and whose NSU-buffer reservation
+    /// is to be asked for on the next tick (`retry_reservations`
+    /// candidates): newly targeted slots, and blocked slots whose stack
+    /// just returned credits.
     retry_set: BitSet,
+    /// Slots whose reservation at their target stack was denied. A denial
+    /// cannot turn into a grant before that stack returns credits (the
+    /// `NdpEnv::try_reserve` contract), so these slots are not part of
+    /// `next_work_at`; `on_credit_return` moves them back to `retry_set`.
+    retry_blocked: BitSet,
+    /// Stacks that gained a blocked slot since the last
+    /// `take_newly_blocked` (bit = stack id): the system's index of which
+    /// SMs a credit return must wake.
+    newly_blocked: u64,
+    /// `Ready` slots whose local load failed the MSHR-headroom check. A
+    /// failed attempt retries every 4 cycles, on the cycles congruent to
+    /// its `wake_at` mod 4. Only an L1 fill can free an MSHR or make a
+    /// line resident, so a retry before enough fills is certain to fail
+    /// (see `park_mshr`): these slots are not part of `next_work_at`. The
+    /// fill that could let a slot through moves it to the wake-wheel at
+    /// its next retry cycle; a tick that happens anyway on a slot's retry
+    /// cycle puts it back in `sched_ready` first, so issue order is
+    /// unchanged.
+    mshr_parked: BitSet,
+    /// L1 fills delivered so far, and per slot the fill count at which an
+    /// MSHR-parked slot's load could first pass the headroom check.
+    fills: u64,
+    unpark_at_fill: Vec<u64>,
+    /// First cycle whose issue statistics are not yet booked. Cycles the
+    /// SM is not ticked for are booked lazily by `settle`.
+    accounted: Cycle,
     /// Slots with a granted reservation and staged packets to promote
     /// (`promote_and_eject` candidates).
     promote_set: BitSet,
@@ -233,10 +268,17 @@ pub struct Sm {
     /// checker's detection of a missing update site can be demonstrated.
     #[doc(hidden)]
     pub sabotage_drop_wheel: bool,
+    /// Test-only fault: skip the unpark-on-fill step of `deliver`.
+    #[doc(hidden)]
+    pub sabotage_drop_unpark: bool,
 }
 
 impl Sm {
     pub fn new(cfg: SmConfig, sys: &SystemConfig, kernel: Arc<CompiledKernel>) -> Self {
+        assert!(
+            sys.hmc.num_hmcs <= 64,
+            "newly_blocked holds one bit per stack"
+        );
         Sm {
             cfg,
             memmap: MemMap::new(sys),
@@ -267,12 +309,19 @@ impl Sm {
             wheel_pool: Vec::new(),
             wheel_serviced_at: 0,
             retry_set: BitSet::new(cfg.warp_slots),
+            retry_blocked: BitSet::new(cfg.warp_slots),
+            newly_blocked: 0,
+            mshr_parked: BitSet::new(cfg.warp_slots),
+            fills: 0,
+            unpark_at_fill: vec![0; cfg.warp_slots],
+            accounted: 0,
             promote_set: BitSet::new(cfg.warp_slots),
             ready_state_count: 0,
             staged_total: 0,
             ready_ticks: 0,
             ready_sum: 0,
             sabotage_drop_wheel: false,
+            sabotage_drop_unpark: false,
             kernel,
         }
     }
@@ -303,9 +352,14 @@ impl Sm {
     /// are written sorted by key for byte-stable output; `kernel`, `memmap`,
     /// `cfg` and `seed` are config/kernel-derived and come from fresh
     /// construction on restore.
-    pub fn snap(&self, w: &mut ndp_common::snap::SnapWriter) {
+    ///
+    /// `now` is the cycle about to run. The image is the one a machine
+    /// that ticked every cycle would write: statistics are settled up to
+    /// `now`, and an MSHR-parked slot carries the `wake_at` of its next
+    /// retry at or after `now`, where the wake-wheel would hold it.
+    pub fn snap(&self, w: &mut ndp_common::snap::SnapWriter, now: Cycle) {
         w.len(self.slots.len());
-        for s in &self.slots {
+        for (i, s) in self.slots.iter().enumerate() {
             w.bool(s.is_some());
             let Some(slot) = s else { continue };
             slot.exec.snap(w);
@@ -333,7 +387,11 @@ impl Sm {
             }
             w.bool(slot.local_block.is_some());
             w.u16(slot.local_block.unwrap_or(0));
-            w.u64(slot.wake_at);
+            w.u64(if self.mshr_parked.contains(i) {
+                retry_at_or_after(slot.wake_at, now)
+            } else {
+                slot.wake_at
+            });
             w.bool(slot.coalesced.is_some());
             if let Some((execd, accesses)) = &slot.coalesced {
                 w.u64(*execd);
@@ -392,19 +450,22 @@ impl Sm {
             w.u32(n);
         }
         w.usize(self.rr_cursor);
-        w.u64(self.stats.issued);
-        w.u64(self.stats.exec_unit_busy);
-        w.u64(self.stats.dependency_stall);
-        w.u64(self.stats.warp_idle);
+        let stats = self.settled_stats(now);
+        w.u64(stats.issued);
+        w.u64(stats.exec_unit_busy);
+        w.u64(stats.dependency_stall);
+        w.u64(stats.warp_idle);
         w.u64(self.block_instrs);
         w.u64(self.warps_retired);
     }
 
-    /// Overwrite from a checkpoint stream; `self` must be freshly built
-    /// against the same config and kernel (slot count is validated).
+    /// Overwrite from a checkpoint stream taken at cycle `now`; `self` must
+    /// be freshly built against the same config and kernel (slot count is
+    /// validated).
     pub fn restore(
         &mut self,
         r: &mut ndp_common::snap::SnapReader<'_>,
+        now: Cycle,
     ) -> Result<(), ndp_common::snap::SnapError> {
         let ns = r.len()?;
         if ns != self.slots.len() {
@@ -544,6 +605,7 @@ impl Sm {
         self.stats.warp_idle = r.u64()?;
         self.block_instrs = r.u64()?;
         self.warps_retired = r.u64()?;
+        self.accounted = now;
         self.rebuild_sched();
         Ok(())
     }
@@ -552,11 +614,17 @@ impl Sm {
     /// path). `Ready` slots with a nonzero finite `wake_at` all go to the
     /// wheel — possibly with an already-passed key, which the first
     /// `service_wheel` call drains — so no resume cycle is needed here.
+    /// Nothing is parked: a slot that was parked at the snapshot retries
+    /// from the wheel (MSHR) or `retry_set` (reservation) and parks again
+    /// if it still cannot go.
     fn rebuild_sched(&mut self) {
         self.sched_ready.clear();
         self.wake_wheel.clear();
         self.wheel_serviced_at = 0;
         self.retry_set.clear();
+        self.retry_blocked.clear();
+        self.mshr_parked.clear();
+        self.newly_blocked = 0;
         self.promote_set.clear();
         self.ready_state_count = 0;
         self.staged_total = 0;
@@ -608,9 +676,41 @@ impl Sm {
         }
     }
 
-    /// Remove slot `i` from whichever issue structure holds it (ready set
-    /// or wake-wheel bucket at its current `wake_at`). Call *before*
-    /// mutating the slot's `state` or `wake_at`.
+    /// Put the MSHR-parked slots whose retry falls on `now` back in the
+    /// ready set, exactly where the wake-wheel would have put them. Runs
+    /// at the top of each invoked tick, before the issue scan.
+    fn service_parked(&mut self, now: Cycle) {
+        let mut from = 0;
+        while let Some(i) = self.mshr_parked.next_at_or_after(from) {
+            from = i + 1;
+            let slot = self.slots[i].as_mut().expect("parked slot is resident");
+            if slot.wake_at % 4 == now % 4 {
+                slot.wake_at = now;
+                self.mshr_parked.remove(i);
+                self.sched_ready.insert(i);
+            }
+        }
+    }
+
+    /// An L1 fill arrived: every MSHR-parked slot that may now succeed
+    /// moves to the wake-wheel at its next retry cycle after `now`.
+    fn unpark_filled(&mut self, now: Cycle) {
+        let mut from = 0;
+        while let Some(i) = self.mshr_parked.next_at_or_after(from) {
+            from = i + 1;
+            if self.unpark_at_fill[i] > self.fills {
+                continue;
+            }
+            let slot = self.slots[i].as_mut().expect("parked slot is resident");
+            slot.wake_at = retry_at_or_after(slot.wake_at, now + 1);
+            self.mshr_parked.remove(i);
+            self.sched_attach(i, now);
+        }
+    }
+
+    /// Remove slot `i` from whichever issue structure holds it (ready set,
+    /// `mshr_parked`, or wake-wheel bucket at its current `wake_at`).
+    /// Call *before* mutating the slot's `state` or `wake_at`.
     fn sched_detach(&mut self, i: usize) {
         if self.sched_ready.remove(i) {
             return;
@@ -619,7 +719,7 @@ impl Sm {
             return;
         };
         let at = slot.wake_at;
-        if at == Cycle::MAX {
+        if at == Cycle::MAX || self.mshr_parked.remove(i) {
             return;
         }
         if let Some(bucket) = self.wake_wheel.get_mut(&at) {
@@ -668,6 +768,12 @@ impl Sm {
         }
     }
 
+    /// Warps currently parked: (on L1 MSHRs, on a denied reservation).
+    #[doc(hidden)]
+    pub fn parked_warps(&self) -> (usize, usize) {
+        (self.mshr_parked.count(), self.retry_blocked.count())
+    }
+
     /// Internal structures whose updates can create work for a future tick.
     /// ndp-lint's quiescence pass cross-checks this list against the wake
     /// sources declared on the `tick:sms` skip spec: forgetting to declare
@@ -683,6 +789,18 @@ impl Sm {
         "sm:promote_set",
     ];
 
+    /// Structures that hold warps `next_work_at` deliberately ignores,
+    /// each with the fabric edge or protocol site whose event releases
+    /// them. ndp-lint's quiescence pass requires every parked structure to
+    /// name a waker that is in the pipeline: without it a parked warp
+    /// sleeps forever.
+    pub const PARK_SITES: &'static [(&'static str, &'static str)] = &[
+        // Only an L1 fill frees an MSHR; fills arrive over slice→SM.
+        ("sm:mshr_parked", "slice_to_sm"),
+        // Only returned credits turn a denied reservation into a grant.
+        ("sm:retry_blocked", "side:credits"),
+    ];
+
     /// Brute-force reference horizon: the pre-ready-set implementation that
     /// rescans every slot. Kept as the oracle the property suite diffs the
     /// incremental structures against.
@@ -692,13 +810,17 @@ impl Sm {
             return Some(now);
         }
         let mut horizon: Option<Cycle> = None;
-        for slot in self.slots.iter().flatten() {
+        for (i, slot) in self.slots.iter().enumerate() {
+            let Some(slot) = slot else { continue };
             if let Some(ofl) = &slot.ofl {
-                if ofl.target.is_some() && (!ofl.reserved || !ofl.staged.is_empty()) {
-                    return Some(now);
+                if ofl.target.is_some() {
+                    let blocked = self.retry_blocked.contains(i);
+                    if (!ofl.reserved && !blocked) || (ofl.reserved && !ofl.staged.is_empty()) {
+                        return Some(now);
+                    }
                 }
             }
-            if slot.state == WState::Ready {
+            if slot.state == WState::Ready && !self.mshr_parked.contains(i) {
                 if slot.wake_at <= now {
                     return Some(now);
                 }
@@ -732,12 +854,35 @@ impl Sm {
                 if self.retry_set.contains(i) {
                     return Err(format!("retry_set contains empty slot {i}"));
                 }
+                if self.retry_blocked.contains(i) {
+                    return Err(format!("retry_blocked contains empty slot {i}"));
+                }
+                if self.mshr_parked.contains(i) {
+                    return Err(format!("mshr_parked contains empty slot {i}"));
+                }
                 if self.promote_set.contains(i) {
                     return Err(format!("promote_set contains empty slot {i}"));
                 }
                 continue;
             };
-            if slot.state == WState::Ready {
+            if self.mshr_parked.contains(i) {
+                if slot.state != WState::Ready {
+                    return Err(format!("mshr_parked contains non-Ready slot {i}"));
+                }
+                if self.sched_ready.contains(i) || in_any_bucket(i) {
+                    return Err(format!(
+                        "mshr_parked slot {i} is also in sched_ready or the wake_wheel"
+                    ));
+                }
+                if self.unpark_at_fill[i] <= self.fills {
+                    return Err(format!(
+                        "mshr_parked holds slot {i} past the L1 fill that could free it \
+                         (fill {} of {}) — the unpark-on-fill step was dropped",
+                        self.unpark_at_fill[i], self.fills
+                    ));
+                }
+                ready_count += 1;
+            } else if slot.state == WState::Ready {
                 ready_count += 1;
                 if slot.wake_at <= self.wheel_serviced_at {
                     if !self.sched_ready.contains(i) {
@@ -786,9 +931,14 @@ impl Sm {
                     ofl.reserved && !ofl.staged.is_empty(),
                 )
             });
-            if self.retry_set.contains(i) != want_retry {
+            let blocked = self.retry_blocked.contains(i);
+            if self.retry_set.contains(i) && blocked {
+                return Err(format!("slot {i} is in both retry_set and retry_blocked"));
+            }
+            if (self.retry_set.contains(i) || blocked) != want_retry {
                 return Err(format!(
-                    "retry_set disagrees with rescan for slot {i} (expected {want_retry})"
+                    "retry_set/retry_blocked disagree with rescan for slot {i} \
+                     (expected a pending reservation: {want_retry})"
                 ));
             }
             if self.promote_set.contains(i) != want_promote {
@@ -814,6 +964,11 @@ impl Sm {
             return Err("wake_wheel holds an empty bucket".to_string());
         }
         Ok(())
+    }
+
+    /// Invoked `tick` calls (perf-report surface).
+    pub fn ticks(&self) -> u64 {
+        self.ready_ticks
     }
 
     /// Mean ready-set size per invoked issue cycle (perf-report surface).
@@ -853,19 +1008,44 @@ impl Sm {
     }
 
     /// Advance one cycle. Issues instructions, stages/promotes NDP packets,
-    /// ejects packets into `out`.
+    /// ejects packets into `out`. Cycles since the last tick are booked
+    /// first (`settle`).
     pub fn tick(&mut self, now: Cycle, env: &mut dyn NdpEnv) {
+        self.settle(now);
         self.service_wheel(now);
+        self.service_parked(now);
         self.spawn_warps();
         self.retry_reservations(env);
         self.issue(now, env);
         self.promote_and_eject();
+        self.accounted = now + 1;
+    }
+
+    /// Credits came back to `hmc`: every slot whose reservation there was
+    /// denied asks again on the next tick.
+    pub fn on_credit_return(&mut self, hmc: HmcId) {
+        let mut from = 0;
+        while let Some(i) = self.retry_blocked.next_at_or_after(from) {
+            from = i + 1;
+            if target_of(self.slots[i].as_ref()) == Some(hmc) {
+                self.retry_blocked.remove(i);
+                self.retry_set.insert(i);
+            }
+        }
+    }
+
+    /// Stacks (bit = stack id) on which some slot was denied a reservation
+    /// since the last call. The system wakes this SM on a credit return to
+    /// any of them.
+    pub fn take_newly_blocked(&mut self) -> u64 {
+        std::mem::take(&mut self.newly_blocked)
     }
 
     /// Retry buffer reservations for warps whose target is known (§4.1.1:
     /// packets wait in the pending buffer until granted). Only `retry_set`
-    /// members — target known, grant outstanding — are visited, in the same
-    /// ascending slot order the full scan used.
+    /// members — target known, not denied since the last credit return —
+    /// are visited, in the same ascending slot order the full scan used.
+    /// A denied slot moves to `retry_blocked`.
     fn retry_reservations(&mut self, env: &mut dyn NdpEnv) {
         let mut from = 0;
         while let Some(i) = self.retry_set.next_at_or_after(from) {
@@ -887,8 +1067,19 @@ impl Sm {
                 if has_staged {
                     self.promote_set.insert(i);
                 }
+            } else {
+                self.retry_set.remove(i);
+                self.retry_blocked.insert(i);
+                self.newly_blocked |= 1 << hmc.0;
             }
         }
+    }
+
+    /// Drop slot `i` from the reservation structures (its offload context
+    /// is going away).
+    fn drop_retry(&mut self, i: usize) {
+        self.retry_set.remove(i);
+        self.retry_blocked.remove(i);
     }
 
     /// Move granted staged packets into the ready buffer and eject. Only
@@ -935,7 +1126,7 @@ impl Sm {
 
         self.ready_ticks += 1;
         self.ready_sum += self.sched_ready.count() as u64;
-        // Ready slots parked in the wake-wheel or on an outstanding load:
+        // Ready slots in the wake-wheel, in `mshr_parked` or on an outstanding load:
         // the full scan visited each and recorded a dependency stall. Only
         // consulted when nothing issues, exactly like the scanned flag.
         let deferred_dep = self.ready_state_count > self.sched_ready.count();
@@ -1206,14 +1397,31 @@ impl Sm {
         }
     }
 
-    /// Structural-hazard backoff: skip this warp for a few cycles (MSHRs
-    /// and output queues rarely free up within one cycle). The wake slot is
-    /// cleared by `deliver` when a fill arrives anyway.
+    /// Structural-hazard backoff: skip this warp for a few cycles (output
+    /// queues rarely drain within one cycle). The wake-wheel brings it
+    /// back at `until`; `deliver` wakes it earlier only if one of its own
+    /// loads completes.
     fn nap(&mut self, now: Cycle, slot_idx: usize, until: Cycle) {
         self.sched_detach(slot_idx);
         let slot = self.slots[slot_idx].as_mut().expect("checked");
         slot.wake_at = slot.wake_at.max(until);
         self.sched_attach(slot_idx, now);
+    }
+
+    /// MSHR backoff: the same 4-cycle retry as `nap`, but the slot waits
+    /// in `mshr_parked` rather than the wheel, so the SM is not ticked for
+    /// retries that cannot succeed. The load lacks `shortfall` MSHRs
+    /// (lines to fetch minus free MSHRs). Between fills only this SM's own
+    /// issue touches its L1, and that never frees an MSHR or makes a line
+    /// resident. A fill frees one MSHR and makes one line resident,
+    /// evicting at most one, so it cuts the shortfall by at most 2: the
+    /// load cannot pass before `shortfall.div_ceil(2)` more fills.
+    fn park_mshr(&mut self, now: Cycle, slot_idx: usize, shortfall: usize) {
+        self.sched_detach(slot_idx);
+        let slot = self.slots[slot_idx].as_mut().expect("checked");
+        slot.wake_at = slot.wake_at.max(now + 4);
+        self.unpark_at_fill[slot_idx] = self.fills + shortfall.div_ceil(2) as u64;
+        self.mshr_parked.insert(slot_idx);
     }
 
     /// Coalesce with memoization keyed on the warp's dynamic instruction
@@ -1449,22 +1657,18 @@ impl Sm {
             return IssueResult::ExecBusy;
         }
         // MSHR room for new misses (conservative: a resident probe per
-        // line). Stop counting as soon as the headroom is exceeded — under
-        // MSHR backpressure this is the hottest no-issue path in the SM,
-        // and each napping warp re-runs the check every few cycles.
+        // line).
         let headroom = self
             .l1d
             .mshr_capacity()
             .saturating_sub(self.l1d.mshr_used());
-        let mut new_lines = 0usize;
-        for a in accesses {
-            if !self.l1d.contains(a.line) {
-                new_lines += 1;
-                if new_lines > headroom {
-                    self.nap(now, slot_idx, now + 4);
-                    return IssueResult::ExecBusy;
-                }
-            }
+        let new_lines = accesses
+            .iter()
+            .filter(|a| !self.l1d.contains(a.line))
+            .count();
+        if new_lines > headroom {
+            self.park_mshr(now, slot_idx, new_lines - headroom);
+            return IssueResult::ExecBusy;
         }
 
         let track_id = self.next_track;
@@ -1576,7 +1780,7 @@ impl Sm {
 
     fn finish_warp(&mut self, slot_idx: usize) {
         self.sched_detach(slot_idx);
-        self.retry_set.remove(slot_idx);
+        self.drop_retry(slot_idx);
         self.promote_set.remove(slot_idx);
         let slot = self.slots[slot_idx].take().expect("checked");
         debug_assert_eq!(
@@ -1599,12 +1803,18 @@ impl Sm {
         self.warps_retired += 1;
     }
 
-    /// Deliver an inbound packet (L1 fill or offload ACK).
+    /// Deliver an inbound packet (L1 fill or offload ACK). Deliveries run
+    /// after the SM's tick at `now`, so cycle `now` is booked first.
     pub fn deliver(&mut self, now: Cycle, p: Packet, env: &mut dyn NdpEnv) -> Result<(), SimError> {
+        self.settle(now + 1);
         match p.kind {
             PacketKind::ReadResp { addr, tag, .. } => {
                 let track_id = tag & 0xff_ffff_ffff;
                 let waiters = self.l1d.fill(addr);
+                self.fills += 1;
+                if !self.sabotage_drop_unpark {
+                    self.unpark_filled(now);
+                }
                 debug_assert!(waiters.contains(&track_id) || waiters.is_empty());
                 for w in waiters {
                     if let Some(t) = self.load_tracks.get_mut(&w) {
@@ -1639,7 +1849,7 @@ impl Sm {
                     slot.state = WState::Ready;
                     slot.wake_at = 0;
                     self.staged_total -= leftover;
-                    self.retry_set.remove(inf.slot);
+                    self.drop_retry(inf.slot);
                     self.promote_set.remove(inf.slot);
                     self.ready_state_count += 1;
                     self.sched_ready.insert(inf.slot);
@@ -1658,25 +1868,35 @@ impl Sm {
     }
 
     /// Human-readable wait states of resident warps, for stall diagnosis.
-    /// One line per non-ready warp: what it waits on and for how long.
+    /// One line per waiting warp — denied a reservation, parked on MSHRs,
+    /// at a barrier, or awaiting an ACK — naming the event it waits for.
+    /// Ready warps that are not parked are runnable and not listed.
     pub fn wait_summary(&self, now: Cycle) -> Vec<String> {
         let mut lines = Vec::new();
         for (i, slot) in self.slots.iter().enumerate() {
             let Some(slot) = slot else { continue };
-            match slot.state {
-                WState::Ready => {}
-                WState::Barrier => lines.push(format!(
-                    "sm{} slot{i}: at barrier (cta {})",
-                    self.cfg.id, slot.cta
-                )),
-                WState::WaitAck => {
-                    let token = slot.ofl.as_ref().map(|o| o.token.0);
-                    lines.push(format!(
-                        "sm{} slot{i}: waiting for OffloadAck (token {:?}, since wake_at {}, now {now})",
-                        self.cfg.id, token, slot.wake_at
-                    ));
+            // A denied reservation is the root cause even once the warp
+            // waits for its ACK: the CMD cannot leave before the grant.
+            let what = if self.retry_blocked.contains(i) {
+                let h = target_of(Some(slot)).expect("blocked slot has a target").0;
+                format!("reservation blocked on hmc{h} (waiting for an NSU credit return)")
+            } else {
+                match slot.state {
+                    WState::Ready if self.mshr_parked.contains(i) => format!(
+                        "parked on L1 MSHRs ({} of {} in use; waiting for an L1 fill)",
+                        self.l1d.mshr_used(),
+                        self.l1d.mshr_capacity()
+                    ),
+                    WState::Ready => continue,
+                    WState::Barrier => format!("at barrier (cta {})", slot.cta),
+                    WState::WaitAck => format!(
+                        "waiting for OffloadAck (token {:?}, since wake_at {}, now {now})",
+                        slot.ofl.as_ref().map(|o| o.token.0),
+                        slot.wake_at
+                    ),
                 }
-            }
+            };
+            lines.push(format!("sm{} slot{i}: {what}", self.cfg.id));
         }
         lines
     }
@@ -1703,8 +1923,8 @@ impl Sm {
     /// deferrals — dependency-stalled warps with a known wake cycle — sit
     /// in the wake-wheel, whose first key is the exact horizon. Warps
     /// blocked on a barrier or an offload ACK wake via packet delivery or
-    /// a sibling warp's issue, both visible to other horizons, so they
-    /// contribute `None`.
+    /// a sibling warp's issue, and parked warps (`PARK_SITES`) wake via a
+    /// fill delivery or `on_credit_return`, so they contribute `None`.
     pub fn next_work_at(&self, now: Cycle) -> Option<Cycle> {
         if !self.launch_queue.is_empty()
             || !self.buffers.is_empty()
@@ -1718,19 +1938,56 @@ impl Sm {
         self.wake_wheel.keys().next().map(|&at| at.max(now))
     }
 
-    /// Replay the issue-stall statistics an elided tick would have
-    /// recorded. On a cycle [`Sm::next_work_at`] proved idle, `issue`
-    /// attempts nothing, so the attribution is exactly: some warp is
-    /// resident and Ready (necessarily `wake_at > now`) → DependencyStall;
-    /// otherwise WarpIdle. ExecUnitBusy is impossible without an issue
-    /// attempt. Everything else in `tick` is a no-op on such cycles.
-    pub fn note_skipped(&mut self, k: u64) {
-        if self.ready_state_count > 0 {
-            self.stats.dependency_stall += k;
-        } else {
-            self.stats.warp_idle += k;
+    /// Book the issue statistics of the cycles in `[accounted, upto)`,
+    /// none of which the SM was ticked for. A tick on such a cycle would
+    /// have found nothing to issue except, on a parked slot's retry
+    /// cycle, a retry that fails the MSHR check (ExecUnitBusy); a
+    /// reservation retry it could make is certain to be denied and
+    /// records nothing. Otherwise the attribution is: some warp is
+    /// resident and Ready → DependencyStall; else WarpIdle.
+    pub fn settle(&mut self, upto: Cycle) {
+        if upto > self.accounted {
+            self.stats = self.settled_stats(upto);
+            self.accounted = upto;
         }
     }
+
+    /// [`Sm::settle`] without the side effect: the statistics as of `upto`.
+    fn settled_stats(&self, upto: Cycle) -> IssueStats {
+        let mut st = self.stats;
+        let from = self.accounted;
+        if upto <= from {
+            return st;
+        }
+        // Residues mod 4 of the parked slots' retry cycles, and the number
+        // of cycles in [from, upto) congruent to r mod 4.
+        let residues = self.mshr_parked.iter().fold(0u8, |m, i| {
+            m | 1
+                << (self.slots[i]
+                    .as_ref()
+                    .expect("parked slot is resident")
+                    .wake_at
+                    % 4)
+        });
+        let on_residue = |r: u64| (upto + 3 - r) / 4 - (from + 3 - r) / 4;
+        let busy: u64 = (0..4u64)
+            .filter(|&r| residues & 1 << r != 0)
+            .map(on_residue)
+            .sum();
+        st.exec_unit_busy += busy;
+        if self.ready_state_count > 0 {
+            st.dependency_stall += upto - from - busy;
+        } else {
+            st.warp_idle += upto - from - busy;
+        }
+        st
+    }
+}
+
+/// The first cycle at or after `from` on which a slot that retries every 4
+/// cycles in step with `wake_at` makes its next attempt.
+fn retry_at_or_after(wake_at: Cycle, from: Cycle) -> Cycle {
+    from + wake_at.wrapping_sub(from) % 4
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1774,6 +2031,10 @@ fn pick_target(accesses: &[LineAccess], memmap: &MemMap) -> HmcId {
         .expect("nonempty accesses")
 }
 
+fn target_of(slot: Option<&WarpSlot>) -> Option<HmcId> {
+    slot.and_then(|s| s.ofl.as_ref()).and_then(|o| o.target)
+}
+
 fn ofl_block(slot: Option<&WarpSlot>) -> u16 {
     slot.and_then(|s| s.ofl.as_ref())
         .map(|o| o.block)
@@ -1791,6 +2052,8 @@ mod tests {
     struct MockEnv {
         offload: bool,
         reserve: bool,
+        /// Stack of every `try_reserve` call, in order.
+        asks: Vec<HmcId>,
         lines: Vec<(u16, u32, u32)>,
         done: Vec<(u16, u32)>,
         wta: Vec<HmcId>,
@@ -1801,6 +2064,7 @@ mod tests {
             MockEnv {
                 offload,
                 reserve: true,
+                asks: vec![],
                 lines: vec![],
                 done: vec![],
                 wta: vec![],
@@ -1812,7 +2076,8 @@ mod tests {
         fn decide_offload(&mut self, _sm: u16, _block: u16) -> bool {
             self.offload
         }
-        fn try_reserve(&mut self, _hmc: HmcId, _l: usize, _s: usize) -> bool {
+        fn try_reserve(&mut self, hmc: HmcId, _l: usize, _s: usize) -> bool {
+            self.asks.push(hmc);
             self.reserve
         }
         fn note_block_lines(&mut self, b: u16, l: u32, h: u32) {
@@ -1979,12 +2244,129 @@ mod tests {
             sm.tick(now, &mut env);
         }
         assert!(sm.out.is_empty(), "no credits ⇒ nothing leaves the SM");
-        // Granting credits releases the stream.
+        // Returning credits to the target releases the stream.
         env.reserve = true;
+        sm.on_credit_return(env.asks[0]);
         for now in 100..200 {
             sm.tick(now, &mut env);
         }
         assert_eq!(sm.out.len(), 3, "CMD + RDF + WTA after grant");
+    }
+
+    #[test]
+    fn denied_slot_waits_for_credits_at_its_own_target() {
+        let p = tiny_kernel();
+        let mut sm = mk_sm(&p);
+        let mut env = MockEnv::new(true);
+        env.reserve = false;
+        sm.assign_warp(0, u32::MAX, 0);
+        for now in 0..100 {
+            sm.tick(now, &mut env);
+        }
+        assert_eq!(env.asks.len(), 1, "one denial, then parked: {:?}", env.asks);
+        let target = env.asks[0];
+        assert_eq!(sm.parked_warps(), (0, 1));
+        assert_eq!(sm.next_work_at(100), None, "a blocked slot is no work");
+        // Credits back at another stack: still parked, never re-asked.
+        sm.on_credit_return(HmcId((target.0 + 1) % 8));
+        assert_eq!(sm.next_work_at(100), None);
+        for now in 100..150 {
+            sm.tick(now, &mut env);
+        }
+        assert_eq!(env.asks.len(), 1, "woken by another stack's credits");
+        // Credits back at its own target: asked exactly once more.
+        env.reserve = true;
+        sm.on_credit_return(target);
+        assert_eq!(sm.next_work_at(150), Some(150));
+        for now in 150..200 {
+            sm.tick(now, &mut env);
+        }
+        assert_eq!(env.asks, vec![target, target]);
+        assert_eq!(sm.parked_warps(), (0, 0));
+        assert_eq!(sm.out.len(), 3, "CMD + RDF + WTA after grant");
+    }
+
+    /// Four warps, each loading 32 distinct lines four times: far more
+    /// misses than the 48 L1 MSHRs.
+    fn mshr_storm_kernel() -> Program {
+        let mut p = Program::new("storm", 4);
+        p.items = vec![Item::Op(Instr::alu3(
+            AluOp::IMad,
+            Reg(1),
+            Operand::Tid,
+            Operand::Imm(4096),
+            Operand::Imm(0x10_0000),
+        ))];
+        for k in 0..4u8 {
+            p.items.push(Item::Op(Instr::ld(Reg(2 + k), Reg(1))));
+            p.items.push(Item::Op(Instr::alu(
+                AluOp::IAdd,
+                Reg(1),
+                Operand::Reg(Reg(1)),
+                Operand::Imm(128),
+            )));
+        }
+        p
+    }
+
+    #[test]
+    fn skipped_mshr_parked_sm_books_the_stats_of_a_ticked_twin() {
+        let p = mshr_storm_kernel();
+        let (mut every, mut lazy) = (mk_sm(&p), mk_sm(&p));
+        let mut env = MockEnv::new(false);
+        for sm in [&mut every, &mut lazy] {
+            for w in 0..4 {
+                sm.assign_warp(w, u32::MAX, w);
+            }
+        }
+        // Fills return 60 cycles after the request leaves the SM.
+        let mut inbox: VecDeque<(Cycle, u64, u64)> = VecDeque::new();
+        let mut saw_parked = false;
+        let end = 2_000;
+        for now in 0..end {
+            lazy.check_sched_consistency().unwrap();
+            assert_eq!(lazy.next_work_at(now), lazy.next_work_at_oracle(now));
+            every.tick(now, &mut env);
+            if lazy.next_work_at(now).is_some_and(|c| c <= now) {
+                lazy.tick(now, &mut env);
+            }
+            saw_parked |= lazy.parked_warps().0 > 0;
+            assert_eq!(every.out.len(), lazy.out.len(), "cycle {now}");
+            while let (Some(a), Some(b)) = (every.out.pop_front(), lazy.out.pop_front()) {
+                assert_eq!(format!("{a:?}"), format!("{b:?}"), "cycle {now}");
+                if let PacketKind::ReadReq { addr, tag, .. } = a.kind {
+                    inbox.push_back((now + 60, addr, tag));
+                }
+            }
+            while inbox.front().is_some_and(|&(at, ..)| at == now) {
+                let (_, addr, tag) = inbox.pop_front().expect("peeked");
+                for sm in [&mut every, &mut lazy] {
+                    let fill = PacketKind::ReadResp {
+                        addr,
+                        bytes: 128,
+                        tag,
+                    };
+                    sm.deliver(
+                        now,
+                        Packet::new(Node::L2(0), Node::Sm(0), now, fill),
+                        &mut env,
+                    )
+                    .unwrap();
+                }
+            }
+        }
+        assert!(saw_parked, "the storm never filled the MSHRs");
+        assert_eq!(every.warps_retired, 4);
+        every.settle(end);
+        lazy.settle(end);
+        assert_eq!(every.stats, lazy.stats);
+        assert!(every.stats.exec_unit_busy > 0);
+        assert!(
+            lazy.ticks() < every.ticks(),
+            "parking saved no ticks: {} vs {}",
+            lazy.ticks(),
+            every.ticks()
+        );
     }
 
     #[test]

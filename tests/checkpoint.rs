@@ -134,6 +134,67 @@ fn resume_is_byte_identical_across_execution_modes() {
     }
 }
 
+/// Image of a `w` run under `cfg`, saved at cycle `at` by a system that
+/// ran per-cycle or event-driven, and the warps parked at that moment.
+/// The skip flag is part of the image, so both modes save with it set.
+/// Deep invariant checking keeps per-token state that is imaged too, and
+/// its default follows the build profile, so it is pinned off here.
+fn image_at(cfg: &SystemConfig, w: Workload, mode: Mode, at: u64) -> (Vec<u8>, (usize, usize)) {
+    let mut sys = fresh(cfg, w, mode, None);
+    sys.set_deep_invariants(false);
+    sys.run_until(at)
+        .expect("no violation before the snapshot point");
+    sys.set_skip(true);
+    (sys.snapshot(), sys.parked_warps())
+}
+
+/// Images saved while warps are parked — on L1 MSHRs (Baseline × BFS) or
+/// on a denied NSU reservation (NDP(1.0) × VADD) — are the images of a
+/// machine that never parks: the event-driven image equals the per-cycle
+/// one at the same cycle, and both equal digests blessed from the
+/// scheduler that retried such warps every cycle instead of parking them.
+///
+/// VADD's synthetic operands include NaNs, and which NaN payload an `f32`
+/// add returns is up to the compiler, so the cycle-50 image (which holds
+/// such a sum in a register) was blessed once per build profile.
+#[test]
+fn images_with_parked_warps_match_per_cycle_and_blessed_digests() {
+    let mut baseline = SystemConfig::baseline();
+    baseline.gpu.num_sms = 8;
+    let mut ndp = SystemConfig::ndp_static(1.0);
+    ndp.gpu.num_sms = 8;
+    let vadd_at_50 = if cfg!(debug_assertions) {
+        0x2686331c2e491a9c
+    } else {
+        0xde58a3f703cd6b13
+    };
+    for (cfg, w, at, blessed) in [
+        (&baseline, Workload::Bfs, 450, 0x94313ada9775ca2b_u64),
+        (&baseline, Workload::Bfs, 551, 0x88c54d1d0d992b4d),
+        (&ndp, Workload::Vadd, 50, vadd_at_50),
+        (&ndp, Workload::Vadd, 450, 0xf6b1facc5a89757e),
+    ] {
+        let (event, parked) = image_at(cfg, w, Mode::Event, at);
+        let (per_cycle, _) = image_at(cfg, w, Mode::PerCycle, at);
+        let cell = format!("{} at cycle {at}", w.name());
+        let want_mshr = cfg.offload == OffloadPolicy::Never;
+        assert!(
+            if want_mshr {
+                parked.0 > 0
+            } else {
+                parked.1 > 0
+            },
+            "{cell}: no warp parked (mshr, reservation) = {parked:?}"
+        );
+        assert!(event == per_cycle, "{cell}: event-driven image differs");
+        assert_eq!(
+            ndp_common::snap::fnv1a(&event),
+            blessed,
+            "{cell}: image differs from the blessed one"
+        );
+    }
+}
+
 /// A seeded fault schedule's decision stream, held packets and fault
 /// statistics all survive the round trip: resumed runs replay the exact
 /// same faults the uninterrupted run sees.

@@ -55,6 +55,10 @@ fn withheld_credits_wedge_is_detected_and_named() {
         "report must name the starved credit pool:\n{text}"
     );
     assert!(
+        text.contains("reservation blocked on hmc"),
+        "report must name the warps parked on the starved pool:\n{text}"
+    );
+    assert!(
         !stall.credits.is_empty(),
         "exhausted pools must appear in the credit section"
     );

@@ -159,3 +159,29 @@ fn stage_counters_account_for_every_cycle() {
     let json = perf.chrome_trace_json();
     assert!(json.contains("traceEvents"));
 }
+
+/// Deterministic work counter of the SM layer: invoked `Sm::tick` calls on
+/// Baseline × BFS, a divergent kernel whose loads overrun the L1 MSHRs.
+/// Warps parked on MSHRs or on denied reservations cost no ticks, so the
+/// count (10654) sits well below the 16125 of the scheduler that retried
+/// them every 4 cycles; the bound lies between the two. Per-cycle mode
+/// ticks every SM every cycle instead.
+#[test]
+fn parked_warps_cost_no_sm_ticks() {
+    let mut cfg = SystemConfig::baseline();
+    cfg.gpu.num_sms = 8;
+    let program = Workload::Bfs.build(&Scale {
+        warps: 64,
+        iters: 4,
+    });
+    let mut sys = System::new(cfg, &program);
+    sys.enable_perf(PerfConfig::on());
+    let r = sys.run(MAX).expect("no protocol violation");
+    let ticks = r.perf.expect("profiling was enabled").sm_ticks;
+    eprintln!("sm_ticks {ticks} over {} cycles", r.cycles);
+    if standardized_ndp::common::env::flag_or_die("NDP_NO_SKIP").unwrap_or(false) {
+        assert_eq!(ticks, 8 * r.cycles, "per-cycle mode ticks every SM");
+    } else {
+        assert!(ticks <= 11_000, "sm_ticks {ticks}");
+    }
+}
